@@ -18,7 +18,11 @@
 //!
 //! The ≥2× frame assertion is derived from the leg list itself — every
 //! coalescing leg is enrolled automatically, so adding a new configuration
-//! can never silently skip the gate.
+//! can never silently skip the gate. A skewed stream — one rank streams
+//! while its node-mate blocks in a receive — must still clear 4×, so a
+//! receive miss cannot flush another rank's partial jumbos. A 2-node 8 B
+//! ping-pong over TCP adds the matching time check: the coalesced median
+//! round trip must stay within 2× of the uncoalesced one.
 
 use cluster_sim::{CostModel, MsgStack, Placement};
 use pure_bench::trajectory::{self, Figure};
@@ -84,6 +88,82 @@ fn crossnode_stream(cfg: Config, msgs: u64) -> (RuntimeStats, f64) {
     });
     let ns_per_msg = t0.elapsed().as_nanos() as f64 / (2 * msgs) as f64;
     (report.stats, ns_per_msg)
+}
+
+/// Stream `msgs` small messages from rank 0 (node 0) to rank 2 (node 1)
+/// while rank 1, rank 0's node-mate, blocks in a receive from node 1 for
+/// the whole stream: rank 3 answers it only once rank 2 has everything.
+/// Returns the stats snapshot and wall-clock ns per streamed message.
+///
+/// This is the skewed shape a receive-miss flush must not break: the
+/// polling rank is not the one whose output sits in the jumbo buffer, so
+/// its misses must leave the stream to the count and size watermarks.
+fn skewed_stream(cfg: Config, msgs: u64) -> (RuntimeStats, f64) {
+    const GAP: std::time::Duration = std::time::Duration::from_micros(2);
+    let t0 = Instant::now();
+    let report = pure_core::launch(cfg, move |ctx| {
+        let w = ctx.world();
+        let mut got = [0u64];
+        match ctx.rank() {
+            0 => {
+                for i in 0..msgs {
+                    // A producer that computes between sends, so the
+                    // node-mate's receive polls interleave with the stream.
+                    let t = Instant::now();
+                    while t.elapsed() < GAP {
+                        std::hint::spin_loop();
+                    }
+                    w.send(&[i], 2, 1);
+                }
+            }
+            1 => {
+                w.recv(&mut got, 3, 2);
+                assert_eq!(got[0], msgs, "release corrupted");
+            }
+            2 => {
+                for i in 0..msgs {
+                    w.recv(&mut got, 0, 1);
+                    assert_eq!(got[0], i, "skewed stream corrupted");
+                }
+                w.send(&[msgs], 3, 3);
+            }
+            _ => {
+                w.recv(&mut got, 2, 3);
+                w.send(&got, 1, 2);
+            }
+        }
+    });
+    let ns_per_msg = t0.elapsed().as_nanos() as f64 / msgs as f64;
+    (report.stats, ns_per_msg)
+}
+
+/// Median round-trip ns of `rounds` closed-loop 8 B ping-pongs between 2
+/// ranks on 2 nodes, timed on rank 0 after `rounds / 10` untimed trips.
+fn pingpong_median_ns(cfg: Config, rounds: usize) -> f64 {
+    let warm = rounds / 10;
+    let (_, mut per_rank) = pure_core::launch_map(cfg, move |ctx| {
+        let w = ctx.world();
+        let mut got = [0u64];
+        let mut samples = Vec::with_capacity(rounds);
+        for i in 0..(warm + rounds) as u64 {
+            let t0 = Instant::now();
+            if ctx.rank() == 0 {
+                w.send(&[i], 1, 4);
+                w.recv(&mut got, 1, 4);
+                assert_eq!(got[0], i, "ping-pong echo corrupted");
+            } else {
+                w.recv(&mut got, 0, 4);
+                w.send(&got, 0, 4);
+            }
+            if i >= warm as u64 {
+                samples.push(t0.elapsed().as_nanos() as f64);
+            }
+        }
+        samples
+    });
+    let mut samples = per_rank.swap_remove(0);
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 fn cfg_on(backend: Backend, coalesce: bool, mode: ProgressMode) -> Config {
@@ -324,6 +404,96 @@ fn main() {
         tcp_off.net_frames
     );
 
+    // A receive miss flushes only the polling rank's own output. A rank
+    // that blocks in a receive while its node-mate streams must not break
+    // the mate's jumbos into near-single-subframe flushes: gate the skewed
+    // stream's frame reduction at 4x on both backends (flushing the whole
+    // node on every miss read 1.0-3.9x in about a third of runs on a
+    // 2-vCPU host; the owner rule reads 7.8x).
+    let skew_msgs = msgs * 4;
+    println!("\nskewed: rank 0 streams 8 B to node 1 while rank 1 blocks in recv from node 1");
+    let mut skew_fpf = 0.0;
+    for backend in [Backend::Sim, Backend::Tcp] {
+        let skew = |coalesce: bool| {
+            let mut c = cfg_on(backend, false, ProgressMode::Cooperative);
+            if coalesce {
+                // No age watermark: a streamer descheduled mid-batch on a
+                // loaded host cannot split a batch, so only the count
+                // watermark and receive misses flush.
+                c = c.with_coalescing(CoalescePlan {
+                    flush_ns: u64::MAX,
+                    ..Default::default()
+                });
+            }
+            let (s, ns) = skewed_stream(c, skew_msgs);
+            let fpf = s.net_coalesced as f64 / s.net_coalesce_flushes.max(1) as f64;
+            println!(
+                "{}",
+                row(
+                    &format!(
+                        "{backend:?} {}",
+                        if coalesce { "cooperative" } else { "off" }
+                    ),
+                    &[
+                        format!("{} frames", s.net_frames),
+                        format!("{fpf:.2} subframes/flush"),
+                        format!("{ns:.0} ns/msg"),
+                    ]
+                )
+            );
+            (s.net_frames, fpf)
+        };
+        let ((off_frames, _), (on_frames, fpf)) = (skew(false), skew(true));
+        let reduction = off_frames as f64 / on_frames.max(1) as f64;
+        assert!(
+            reduction >= 4.0,
+            "{backend:?}: a node-mate's receive misses broke up the stream's \
+             jumbos: {off_frames} -> {on_frames} frames ({reduction:.2}x < 4x)"
+        );
+        if backend == Backend::Sim {
+            skew_fpf = fpf;
+        }
+    }
+
+    // A frame gate must also check time: coalescing that packs frames by
+    // holding a blocked sender's output until its age watermark trips
+    // passes the 2x frame gate while multiplying the round trip. Gate the
+    // coalesced 8 B ping-pong median at 2x the uncoalesced one over TCP.
+    // On a loaded host whole launches of either leg run slow (every round
+    // trip 70-130 us, in about half the launches under a parallel `cargo
+    // test`), so each leg runs LAUNCHES times, alternating, and keeps its
+    // lowest median.
+    const LAUNCHES: usize = 12;
+    let rounds = trajectory::pick(2000, 500);
+    let rtt = |coalesce: bool| {
+        let mut c = Config::new(2)
+            .with_ranks_per_node(1)
+            .with_transport(Backend::Tcp);
+        if coalesce {
+            c = c.with_coalescing(CoalescePlan::default());
+        }
+        pingpong_median_ns(c, rounds)
+    };
+    let (mut rtt_off, mut rtt_on) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..LAUNCHES {
+        rtt_off = rtt_off.min(rtt(false));
+        rtt_on = rtt_on.min(rtt(true));
+    }
+    let rtt_ratio = rtt_on / rtt_off;
+    println!(
+        "\n8 B ping-pong over TCP, lowest of {LAUNCHES} medians of {rounds}: \
+         coalescing off {:.1} us, on {:.1} us ({rtt_ratio:.2}x)",
+        rtt_off / 1e3,
+        rtt_on / 1e3
+    );
+    assert!(
+        rtt_ratio <= 2.0,
+        "coalescing must not hold a blocked sender's output: 8 B round trip \
+         {:.1} us coalesced vs {:.1} us uncoalesced over TCP",
+        rtt_on / 1e3,
+        rtt_off / 1e3
+    );
+
     // The frame counts are watermark-driven (count watermark = 8 subframes
     // per jumbo for back-to-back streams) and the memcpy counts are exact
     // byte tallies, so the reductions are stable, machine-independent
@@ -334,6 +504,8 @@ fn main() {
     );
     fig.ratio("wire_frame_reduction_small_tcp", tcp_reduction);
     fig.ratio("wire_memcpy_reduction_small", memcpy_reduction);
+    fig.raw("pure_crossnode_tcp_rtt_8B_off_ns", rtt_off);
+    fig.raw("pure_crossnode_tcp_rtt_8B_coalesced_ns", rtt_on);
     fig.raw("pure_crossnode_off_ns_per_msg", off_ns);
     fig.raw("pure_crossnode_coalesced_ns_per_msg", coop_ns);
     fig.raw("pure_crossnode_helper_ns_per_msg", helper_ns);
@@ -349,6 +521,7 @@ fn main() {
         "frames_per_flush",
         coop.net_coalesced as f64 / coop.net_coalesce_flushes.max(1) as f64,
     );
+    fig.telemetry("skewed_frames_per_flush", skew_fpf);
     fig.telemetry("cooperative_progress_polls", coop.net_progress_polls as f64);
     fig.telemetry("helper_progress_polls", helper.net_progress_polls as f64);
     fig.telemetry("detect_heartbeat_share", hb_share);

@@ -148,12 +148,13 @@ impl RemoteChannel {
 
 /// A receive-side size mismatch detected inside the channel layer: the wire
 /// delivered (or a rendezvous header announced) more bytes than the posted
-/// buffer holds. Possible only on remote channels — the wire tag does not
-/// encode the byte count, so a mismatched sender shares the tag — whereas
-/// intra-node channels agree on sizes by construction (the byte count is
-/// part of the channel key). The channel has no rank identity; callers wrap
-/// this into [`crate::error::PureError::Truncation`] and escalate through
-/// the abort protocol.
+/// buffer holds. Every remote channel has a wire tag of its own, so only a
+/// frame that is not this channel's own traffic (a corrupt or foreign
+/// sender on the tag) can trigger it; intra-node channels agree on sizes by
+/// construction (the byte count is part of the channel key). The channel
+/// has no rank identity; callers wrap this into
+/// [`crate::error::PureError::Truncation`] and escalate through the abort
+/// protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecvOverrun {
     /// Bytes the sender delivered or announced.
@@ -774,12 +775,18 @@ impl ChannelTable {
             return Arc::clone(ch);
         }
         let mut w = self.map.write();
+        // A remote channel's wire tag carries the channel's table index, not
+        // the application tag: channels that differ only in communicator or
+        // message size would otherwise share one match-store queue, and a
+        // receive on one could pop the other's message. The sender and the
+        // receiver share this channel object, so they agree on the index.
+        let wire_user = u32::try_from(w.len()).expect("more than 2^32 channels in one launch");
         Arc::clone(w.entry(key).or_insert_with(|| {
             Arc::new(if src_node != dst_node {
                 Channel::Remote(RemoteChannel {
                     src_node,
                     dst_node,
-                    wire: WireTag::p2p(src_local, dst_local, key.tag),
+                    wire: WireTag::p2p(src_local, dst_local, wire_user),
                     rdv_chunk: (key.bytes > cfg.small_msg_max as u64)
                         .then_some(cfg.small_msg_max.max(1)),
                     recv: SideCell::new(InFlight::default()),
@@ -1068,10 +1075,11 @@ mod tests {
         }
     }
 
-    /// A cross-node size mismatch (the wire tag does not encode the byte
-    /// count, so a mismatched sender shares it) must surface as a structured
-    /// [`RecvOverrun`] the caller can escalate as `PureError::Truncation` —
-    /// not as a bare assert.
+    /// A frame on a remote channel's own wire tag that is not that
+    /// channel's traffic (a foreign or corrupt sender on the tag), larger
+    /// than the posted buffer, must surface as a structured [`RecvOverrun`]
+    /// the caller can escalate as `PureError::Truncation` — not as a bare
+    /// assert.
     #[test]
     fn remote_oversize_reports_overrun_instead_of_asserting() {
         let cluster = Cluster::new(2, NetConfig::default());

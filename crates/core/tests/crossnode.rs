@@ -98,6 +98,119 @@ fn helper_progress_mode_completes_with_polls() {
     );
 }
 
+/// Regression (demand-driven flush): with the age watermark disabled, a
+/// 2-node ping-pong and an 8 B allreduce still complete, in both progress
+/// modes, because every receive poll that misses flushes the polling
+/// node's pending jumbos. Before that rule each 8 B message waited out
+/// `flush_ns`; with `u64::MAX` the launch never finished.
+#[test]
+fn receive_miss_flush_completes_without_age_watermark() {
+    let plan = CoalescePlan {
+        flush_ns: u64::MAX,
+        ..Default::default()
+    };
+    for mode in [ProgressMode::Cooperative, ProgressMode::Helper] {
+        let c = cfg(2, 1)
+            .with_coalescing(plan)
+            .with_progress_mode(mode)
+            .with_deadline(Duration::from_secs(30));
+        pure_core::launch(c, |ctx| {
+            let w = ctx.world();
+            let mut got = [0u64];
+            for i in 0..200u64 {
+                if ctx.rank() == 0 {
+                    w.send(&[i], 1, 5);
+                    w.recv(&mut got, 1, 6);
+                    assert_eq!(got[0], i + 1000, "pong {i}");
+                } else {
+                    w.recv(&mut got, 0, 5);
+                    assert_eq!(got[0], i, "ping {i}");
+                    w.send(&[i + 1000], 0, 6);
+                }
+                let sum = w.allreduce_one(i + ctx.rank() as u64, ReduceOp::Sum);
+                assert_eq!(sum, 2 * i + 1, "allreduce {i}");
+            }
+        });
+    }
+}
+
+/// Regression (receive-side FIFO under coalescing): with two ranks per
+/// node, both ranks of the receiving node pump the same jumbo link. Every
+/// message carries a stamp of (launch, sender, index), so a jumbo scattered
+/// ahead of its predecessor, a lost or a duplicated subframe all fail the
+/// check. Runs every backend and progress mode, 20 launches each.
+#[test]
+fn coalesced_receives_keep_fifo_under_concurrent_pumpers() {
+    const MSGS: u64 = 64;
+    let stamp = |launch: u64, src: usize, i: u64| (launch << 32) | ((src as u64) << 16) | i;
+    for backend in [Backend::Sim, Backend::Tcp] {
+        for mode in [ProgressMode::Cooperative, ProgressMode::Helper] {
+            for launch in 0..20u64 {
+                let c = Config::new(4)
+                    .with_ranks_per_node(2)
+                    .with_transport(backend)
+                    .with_coalescing(CoalescePlan::default())
+                    .with_progress_mode(mode);
+                pure_core::launch(c, move |ctx| {
+                    let w = ctx.world();
+                    let me = ctx.rank();
+                    let partner = (me + 2) % 4;
+                    let mut got = [0u64];
+                    // Node 0 streams to node 1, then node 1 streams back, so
+                    // each node takes its turn as the two-pumper receiver.
+                    for sending_node in [0, 1] {
+                        if me / 2 == sending_node {
+                            for i in 0..MSGS {
+                                w.send(&[stamp(launch, me, i)], partner, 1);
+                            }
+                        } else {
+                            for i in 0..MSGS {
+                                w.recv(&mut got, partner, 1);
+                                assert_eq!(
+                                    got[0],
+                                    stamp(launch, partner, i),
+                                    "{backend:?} {mode:?} launch {launch}: \
+                                     message {i} from rank {partner} out of order"
+                                );
+                            }
+                        }
+                    }
+                    w.barrier();
+                });
+            }
+        }
+    }
+}
+
+/// Regression (remote channel wire tags): channels that share (src, dst,
+/// tag) but differ in message size or communicator must not share a match
+/// queue on the wire. Rank 0 sends a 16-word and then a 4-word message on
+/// tag 4 of the world, then a 4-word one on tag 4 of a split communicator;
+/// rank 1 receives them in the opposite order. When the wire tag carried
+/// only the application tag, the first receive popped the 16-word message
+/// and the launch failed with a truncation (miniAMR hit this at random).
+#[test]
+fn remote_channels_differing_in_size_or_comm_do_not_cross_match() {
+    pure_core::launch(cfg(2, 1), |ctx| {
+        let w = ctx.world();
+        let sub = w.split(0, ctx.rank() as i64).unwrap();
+        if ctx.rank() == 0 {
+            w.send(&[1u64; 16], 1, 4);
+            w.send(&[2u64; 4], 1, 4);
+            sub.send(&[3u64; 4], 1, 4);
+        } else {
+            let mut small = [0u64; 4];
+            sub.recv(&mut small, 0, 4);
+            assert_eq!(small, [3; 4], "split-comm message");
+            w.recv(&mut small, 0, 4);
+            assert_eq!(small, [2; 4], "4-word message");
+            let mut big = [0u64; 16];
+            w.recv(&mut big, 0, 4);
+            assert_eq!(big, [1; 16], "16-word message");
+        }
+    });
+}
+
 #[test]
 fn large_cross_node_payloads_stream_chunked() {
     // 64 KiB >> small_msg_max (8 KiB): p2p takes the chunked wire

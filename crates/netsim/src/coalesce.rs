@@ -7,7 +7,12 @@
 //! 8-byte payload is where a real progress engine spends its batching
 //! effort (NCCL proxy threads, MPI progress engines). The progress engine
 //! buffers eligible frames per destination node and flushes the buffer as
-//! one jumbo frame when a size, count, or age watermark trips.
+//! one jumbo frame when a size or count watermark trips, or when a thread
+//! that put subframes into it polls for input and misses: a rank waiting
+//! for input gains nothing by holding its own output, which the awaited
+//! reply may depend on. A node-mate's miss leaves the buffer alone, so a
+//! rank blocked in a receive does not break up another rank's stream. The
+//! age watermark only bounds the delay of output whose sender never polls.
 //!
 //! A jumbo frame is a plain concatenation of *subframes*:
 //!
@@ -32,6 +37,7 @@
 //! lives in `transport.rs`.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use crate::pool::{FrameBuf, FramePool};
@@ -53,7 +59,9 @@ pub struct CoalescePlan {
     pub max_frames: u32,
     /// Flush a non-empty buffer once its oldest subframe is this old (ns).
     /// Checked from `progress()` polls, so the bound is approximate — like
-    /// any progress-engine timer.
+    /// any progress-engine timer. A receive poll that misses flushes every
+    /// buffer holding the polling thread's own subframes regardless, so
+    /// this only bounds the delay of output whose sender never polls.
     pub flush_ns: u64,
     /// Only payloads of at most this many bytes are buffered; larger ones
     /// flush the pending buffer and travel as a single-subframe jumbo
@@ -83,12 +91,27 @@ pub struct CoalesceBuf {
     /// Arrival time (ns since cluster birth) of the oldest buffered
     /// subframe; meaningless when `frames == 0`.
     pub first_ns: u64,
+    /// Union of the [`thread_bit`]s of the threads that pushed the
+    /// buffered subframes; zero when `frames == 0`.
+    pub owners: u64,
+}
+
+/// This thread's bit for [`CoalesceBuf::owners`]: threads are numbered in
+/// order of first use, modulo 64. Two threads that share a bit only cost a
+/// flush that was not needed, never a held subframe.
+pub fn thread_bit() -> u64 {
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    thread_local! {
+        static BIT: u64 = 1 << (NEXT.fetch_add(1, Ordering::Relaxed) % 64);
+    }
+    BIT.with(|b| *b)
 }
 
 impl CoalesceBuf {
     /// Append one subframe (`head` then `payload`, one logical payload),
-    /// recording `now_ns` if the buffer was empty. Returns the payload
-    /// bytes copied (the gather memcpy, for telemetry).
+    /// recording `now_ns` if the buffer was empty and the calling thread
+    /// among its owners. Returns the payload bytes copied (the gather
+    /// memcpy, for telemetry).
     pub fn push(
         &mut self,
         pool: &Arc<FramePool>,
@@ -108,6 +131,7 @@ impl CoalesceBuf {
         });
         pack_subframe_into(buf, tag_enc, head, payload);
         self.frames += 1;
+        self.owners |= thread_bit();
         head.len() + payload.len()
     }
 
@@ -129,6 +153,7 @@ impl CoalesceBuf {
     /// Take the pending jumbo (headroom included), leaving the buffer empty.
     pub fn take(&mut self) -> Option<FrameBuf> {
         self.frames = 0;
+        self.owners = 0;
         self.buf.take()
     }
 }

@@ -50,6 +50,11 @@ const MAX_FRAME: usize = 1 << 26;
 /// Compact the flushed prefix of the out buffer once it exceeds this.
 const OUT_COMPACT: usize = 1 << 16;
 
+/// `ingest` stops reading once this many unparsed bytes are buffered,
+/// unless the frame at the front of the buffer is larger and still
+/// incomplete. The rest stays in the kernel until the next pump.
+const IN_HIGH: usize = 1 << 16;
+
 /// One live peer connection: the socket plus its outbound backlog (bytes
 /// accepted by `send_frame` the kernel would not take yet) and inbound
 /// reassembly buffer.
@@ -58,8 +63,9 @@ struct Conn {
     /// Outbound bytes; `[sent..]` is still unflushed.
     out: Vec<u8>,
     sent: usize,
-    /// Inbound bytes not yet parsed into complete frames.
+    /// Inbound bytes; `[parsed..]` is not yet parsed into frames.
     inbuf: Vec<u8>,
+    parsed: usize,
     /// Set on EOF, reset, or protocol corruption. A dead connection sends
     /// and receives nothing; the peer's silence is the failure detector's
     /// problem, not ours.
@@ -73,6 +79,7 @@ impl Conn {
             out: Vec::new(),
             sent: 0,
             inbuf: Vec::new(),
+            parsed: 0,
             dead: false,
         }
     }
@@ -113,12 +120,21 @@ impl Conn {
         moved
     }
 
-    /// Read whatever the kernel has. Returns whether any bytes arrived.
+    /// Drop the parsed prefix of the inbound buffer, then read what the
+    /// kernel has, up to [`IN_HIGH`] buffered bytes or the whole front
+    /// frame if that is larger. Returns whether any bytes arrived.
     fn ingest(&mut self) -> bool {
+        self.inbuf.drain(..self.parsed);
+        self.parsed = 0;
         let mut moved = false;
         let mut buf = [0u8; 16 * 1024];
         loop {
-            match self.sock.read(&mut buf) {
+            let want = self.read_goal().saturating_sub(self.inbuf.len());
+            if want == 0 {
+                break;
+            }
+            let cap = want.min(buf.len());
+            match self.sock.read(&mut buf[..cap]) {
                 Ok(0) => {
                     self.dead = true;
                     break;
@@ -138,25 +154,39 @@ impl Conn {
         moved
     }
 
-    /// Pop the next complete frame off the reassembly buffer. The payload
-    /// is copied into a pooled slab (the backend's one parse copy) so the
-    /// rest of the stack handles it as a refcounted [`FrameSlice`].
+    /// How many inbound bytes `ingest` may hold: [`IN_HIGH`], or the size
+    /// of the frame at the front of the buffer when that is larger (a
+    /// corrupt length is caught by `next_frame`, so cap it there).
+    fn read_goal(&self) -> usize {
+        let front = self.inbuf.first_chunk::<4>().map_or(0, |len| {
+            HDR + (u32::from_le_bytes(*len) as usize).min(MAX_FRAME)
+        });
+        IN_HIGH.max(front)
+    }
+
+    /// Pop the next complete frame off the reassembly buffer, advancing the
+    /// parse cursor (the buffer is compacted once per `ingest`, not once
+    /// per frame). The payload is copied into a pooled slab (the backend's
+    /// one parse copy) so the rest of the stack handles it as a refcounted
+    /// [`FrameSlice`].
     fn next_frame(&mut self, pool: &Arc<FramePool>) -> Option<(u64, FrameSlice)> {
-        if self.inbuf.len() < HDR {
+        let rest = &self.inbuf[self.parsed..];
+        if rest.len() < HDR {
             return None;
         }
-        let len = u32::from_le_bytes(self.inbuf[0..4].try_into().ok()?) as usize;
+        let len = u32::from_le_bytes(rest[0..4].try_into().ok()?) as usize;
         if len > MAX_FRAME {
             self.dead = true;
             self.inbuf.clear();
+            self.parsed = 0;
             return None;
         }
-        if self.inbuf.len() < HDR + len {
+        if rest.len() < HDR + len {
             return None;
         }
-        let tag = u64::from_le_bytes(self.inbuf[4..12].try_into().ok()?);
-        let payload = pool.pooled(&self.inbuf[HDR..HDR + len]);
-        self.inbuf.drain(..HDR + len);
+        let tag = u64::from_le_bytes(rest[4..12].try_into().ok()?);
+        let payload = pool.pooled(&rest[HDR..HDR + len]);
+        self.parsed += HDR + len;
         Some((tag, payload))
     }
 }
@@ -323,6 +353,7 @@ impl Transport for TcpTransport {
         for slot in self.conns.iter().flatten() {
             let mut conn = slot.lock();
             conn.inbuf.clear();
+            conn.parsed = 0;
             conn.out.clear();
             conn.sent = 0;
         }
@@ -343,7 +374,7 @@ impl Transport for TcpTransport {
                     } else {
                         live += 1;
                         out_b += conn.pending();
-                        in_b += conn.inbuf.len();
+                        in_b += conn.inbuf.len() - conn.parsed;
                     }
                 }
                 None => locked = true,

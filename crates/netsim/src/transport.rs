@@ -486,6 +486,10 @@ struct NodeProto {
     /// Pending outbound coalescing buffers, destination node → buffer
     /// (coalescing mode only).
     co_tx: Mutex<HashMap<usize, CoalesceBuf>>,
+    /// Ingest token (coalescing mode only): held from popping an arrived
+    /// jumbo to the end of scattering it, so two threads pumping one node
+    /// cannot scatter jumbo k+1 into the match store before jumbo k.
+    ingest: Mutex<()>,
     /// Frames the fault injector is holding back (fault mode only).
     perturb: Mutex<Perturb>,
     /// Raw frames this node has put on the wire — the endpoint-fault trip
@@ -507,6 +511,7 @@ impl NodeProto {
             rel_tx: Mutex::default(),
             rel_rx: Mutex::default(),
             co_tx: Mutex::default(),
+            ingest: Mutex::default(),
             perturb: Mutex::default(),
             sent_frames: AtomicU64::new(0),
             silenced: AtomicBool::new(false),
@@ -1065,7 +1070,12 @@ impl NodeEndpoint {
             if let Some(p) = self.raw().recv_frame(src_node, enc) {
                 return Some(p);
             }
-            self.progress();
+            // A miss means this thread is waiting for input, and what it
+            // waits for may be the reply to output it left in a jumbo
+            // buffer here. Holding that output only adds the age watermark
+            // to every round trip, so the tick flushes the buffers this
+            // thread pushed into. A node-mate's buffers keep filling.
+            self.tick(coalesce::thread_bit());
             return self.raw().recv_frame(src_node, enc);
         }
         if self.cfg.faults.is_some() && !tag.is_ack() {
@@ -1126,16 +1136,24 @@ impl NodeEndpoint {
         out.did_work
     }
 
-    /// One progress-engine tick: pump the backend; in coalescing mode flush
-    /// aged outbound buffers and unpack arrived jumbos; in fault mode run
-    /// the reliable sublayer (ACK drain, due retransmits, eager data pump);
-    /// in detection mode run the failure detector.
+    /// One progress-engine tick: in coalescing mode flush outbound buffers
+    /// whose watermark tripped; pump the backend; in coalescing mode unpack
+    /// arrived jumbos; in fault mode run the reliable sublayer (ACK drain,
+    /// due retransmits, eager data pump); in detection mode run the failure
+    /// detector.
     ///
     /// Returns whether the tick did any work — frames moved, buffers
     /// flushed, retransmits or ACKs or heartbeats sent. Cooperative-mode
     /// callers use a `false` streak to back off instead of busy-spinning
     /// on an idle backend.
     pub fn progress(&self) -> bool {
+        self.tick(0)
+    }
+
+    /// [`NodeEndpoint::progress`], also flushing the outbound jumbo buffers
+    /// whose owners meet `owners` (the polling thread's bit after a receive
+    /// miss), not only the due ones.
+    fn tick(&self, owners: u64) -> bool {
         self.stats.progress_polls.fetch_add(1, Ordering::Relaxed);
         if self.self_silent() {
             // A dead node's engine answers nothing. A byzantine-silent node
@@ -1146,10 +1164,8 @@ impl NodeEndpoint {
             }
             return false;
         }
-        let mut work = self.pump_raw();
-        if self.cfg.coalesce.is_some() {
-            work |= self.flush_aged_coalesce();
-        }
+        let mut work = self.flush_coalesce(owners);
+        work |= self.pump_raw();
         if self.cfg.faults.is_some() {
             work |= self.reliable_tick();
         }
@@ -1236,8 +1252,12 @@ impl NodeEndpoint {
         }
     }
 
-    /// Flush outbound buffers whose age watermark has tripped.
-    fn flush_aged_coalesce(&self) -> bool {
+    /// Emit outbound jumbo buffers in one `co_tx` pass: those whose
+    /// watermark has tripped and those holding a subframe from a thread in
+    /// `owners` (`u64::MAX`: every non-empty one). The age watermark is
+    /// only a backstop for output whose sender never polls for input; a
+    /// polling sender flushes its own output through its receive misses.
+    fn flush_coalesce(&self, owners: u64) -> bool {
         let Some(plan) = self.cfg.coalesce else {
             return false;
         };
@@ -1245,7 +1265,7 @@ impl NodeEndpoint {
         let mut work = false;
         let mut com = self.proto().co_tx.lock();
         for (&dst, buf) in com.iter_mut() {
-            if buf.due(&plan, now) {
+            if buf.owners & owners != 0 || buf.due(&plan, now) {
                 if let Some(jumbo) = buf.take() {
                     self.emit_jumbo(dst, jumbo);
                     work = true;
@@ -1258,23 +1278,20 @@ impl NodeEndpoint {
     /// Force-flush every pending outbound buffer on this node, watermarks
     /// or not — the end-of-run path, so no subframe is stranded.
     pub fn flush_coalesced(&self) {
-        if self.cfg.coalesce.is_none() {
-            return;
-        }
-        let mut com = self.proto().co_tx.lock();
-        for (&dst, buf) in com.iter_mut() {
-            if buf.frames > 0 {
-                if let Some(jumbo) = buf.take() {
-                    self.emit_jumbo(dst, jumbo);
-                }
-            }
-        }
+        self.flush_coalesce(u64::MAX);
     }
 
     /// Unpack every arrived jumbo frame and scatter its subframes into the
     /// match store under their original tags (through the reliable
     /// sublayer's dedup/reorder first when fault mode is on).
+    ///
+    /// Runs under the node's ingest token. A thread that finds the token
+    /// held skips the pass: the holder is already draining, and whatever
+    /// arrives after its pass waits for the next tick, in order.
     fn pump_coalesced(&self) -> bool {
+        let Some(_token) = self.proto().ingest.try_lock() else {
+            return false;
+        };
         let jumbo = WireTag::coalesce();
         let mut work = false;
         if self.cfg.faults.is_some() {
@@ -1316,11 +1333,14 @@ impl NodeEndpoint {
                 self.raw_send(src, WireTag::ack_for(jumbo), f);
             }
         } else {
+            // The tick pumped the backend just before this pass, so only the
+            // match store is read here: a second pump per poll is one more
+            // read syscall per connection on TCP.
             for src in 0..self.n {
                 if src == self.me {
                     continue;
                 }
-                while let Some(j) = self.raw_try_recv(src, jumbo) {
+                while let Some(j) = self.raw().recv_frame(src, jumbo.encode()) {
                     work = true;
                     self.scatter_jumbo(src, &j);
                 }
@@ -1406,7 +1426,9 @@ impl NodeEndpoint {
     /// frames, drain ACKs into tx links, retransmit overdue frames, and
     /// eagerly pump + re-ACK every known rx link (so retransmitted frames
     /// are consumed even when no rank is currently blocked in `try_recv`
-    /// on that tag).
+    /// on that tag). In-order jumbos stay on their link for
+    /// `pump_coalesced`, which pops and scatters them under the ingest
+    /// token.
     fn reliable_tick(&self) -> bool {
         let proto = self.proto();
         let now = self.now_ns();
@@ -1434,7 +1456,6 @@ impl NodeEndpoint {
             self.raw_send(dst, tag, f);
         }
         let mut acks: Vec<(usize, WireTag, u64)> = Vec::new();
-        let mut scatter: Vec<(usize, FrameSlice)> = Vec::new();
         {
             let mut rxm = proto.rel_rx.lock();
             for (&(src, enc), st) in rxm.iter_mut() {
@@ -1444,13 +1465,6 @@ impl NodeEndpoint {
                     work = true;
                     let (seq, payload) = deframe(&f);
                     saw_dup |= !st.accept(seq, payload);
-                }
-                // Jumbo links have no blocked receiver to pop them: hand
-                // their in-order payloads straight to the scatter path.
-                if tag.class == CLASS_COALESCE {
-                    while let Some(j) = st.pop_ready() {
-                        scatter.push((src, j));
-                    }
                 }
                 // The ACK decision runs every tick, arrivals or not, so a
                 // batched ACK still flushes on its age watermark.
@@ -1462,10 +1476,7 @@ impl NodeEndpoint {
                 }
             }
         }
-        work |= !scatter.is_empty() || !acks.is_empty();
-        for (src, j) in scatter {
-            self.scatter_jumbo(src, &j);
-        }
+        work |= !acks.is_empty();
         for (src, tag, ack) in acks {
             self.stats.acks.fetch_add(1, Ordering::Relaxed);
             let f = self.proto().pool.pooled(&ack.to_le_bytes());
@@ -2043,6 +2054,85 @@ mod tests {
             }
             assert_eq!(b.try_recv(0, tag), None);
         }
+    }
+
+    /// Regression (demand-driven flush): with the age watermark disabled, a
+    /// ping-pong still completes, because a receive poll that misses
+    /// flushes its own node's pending jumbos. Without that rule each 8 B
+    /// message waited in its buffer for `flush_ns`, here forever.
+    #[test]
+    fn receive_miss_flushes_pending_jumbos() {
+        const POLLS: usize = 100_000;
+        let plan = CoalescePlan {
+            flush_ns: u64::MAX,
+            ..Default::default()
+        };
+        for backend in [Backend::Sim, Backend::Tcp] {
+            let c = Cluster::new(
+                2,
+                NetConfig::default()
+                    .with_backend(backend)
+                    .with_coalescing(plan),
+            );
+            let (a, b) = (c.endpoint(0), c.endpoint(1));
+            let tag = WireTag::p2p(0, 0, 4);
+            let recv = |ep: &NodeEndpoint, from: usize| -> u64 {
+                for _ in 0..POLLS {
+                    if let Some(p) = ep.try_recv(from, tag) {
+                        return u64::from_le_bytes(p[..].try_into().unwrap());
+                    }
+                }
+                panic!(
+                    "{backend:?}: node {} got nothing from node {from} in {POLLS} polls",
+                    ep.node()
+                );
+            };
+            for i in 0..200u64 {
+                a.send(1, tag, &i.to_le_bytes());
+                assert_eq!(a.coalesce_pending(), 1, "one 8 B subframe stays buffered");
+                // Node 0 polls for the reply; the miss puts the ping out.
+                assert_eq!(a.try_recv(1, tag), None);
+                assert_eq!(recv(&b, 0), i, "{backend:?}: ping {i}");
+                b.send(0, tag, &(i + 1000).to_le_bytes());
+                assert_eq!(b.try_recv(0, tag), None);
+                assert_eq!(recv(&a, 1), i + 1000, "{backend:?}: pong {i}");
+            }
+            assert_eq!(
+                c.stats().frames.load(Ordering::Relaxed),
+                400,
+                "one jumbo per message"
+            );
+            c.purge_pooled();
+        }
+    }
+
+    /// A receive miss flushes only the buffers the polling thread pushed
+    /// into: a node-mate blocked in a receive must not break up another
+    /// thread's stream into one-subframe jumbos.
+    #[test]
+    fn receive_miss_leaves_node_mates_output_buffered() {
+        let plan = CoalescePlan {
+            flush_ns: u64::MAX,
+            ..Default::default()
+        };
+        let c = Cluster::new(2, NetConfig::default().with_coalescing(plan));
+        let a = c.endpoint(0);
+        let tag = WireTag::p2p(0, 0, 4);
+        a.send(1, tag, &7u64.to_le_bytes());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..100 {
+                    assert_eq!(a.try_recv(1, tag), None);
+                }
+            });
+        });
+        assert_eq!(a.coalesce_pending(), 1, "a node-mate's misses hold it");
+        assert_eq!(a.try_recv(1, tag), None);
+        assert_eq!(a.coalesce_pending(), 0, "the sender's own miss flushes it");
+        let b = c.endpoint(1);
+        b.progress();
+        let got = b.try_recv(0, tag).expect("flushed subframe arrives");
+        assert_eq!(u64::from_le_bytes(got[..].try_into().unwrap()), 7);
     }
 
     /// Coalescing over the faulty transport: jumbos ride the reliable

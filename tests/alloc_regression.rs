@@ -4,12 +4,15 @@
 //! delta across a measured window after a warm-up phase and asserts it is
 //! exactly zero.
 //!
-//! Tests sharing the process-global counter serialize on a mutex so a
-//! concurrently running test cannot pollute another's window.
+//! Only allocations made by a thread inside [`measure`] count, so another
+//! thread (libtest's runner, a previous test's rank threads) cannot land in
+//! a window. Tests still serialize on a mutex because the counter they read
+//! is shared.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use pure_core::channel::pbq::PureBufferQueue;
 use pure_core::prelude::*;
@@ -18,9 +21,21 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set while this thread is inside [`measure`].
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_alloc() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -39,13 +54,25 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+/// Serialize on the shared counter. A failed test poisons the mutex; the
+/// next test must still run, and the mutex guards no data, so take the
+/// guard regardless.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Allocations the calling thread makes while running `f`.
+fn measure(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    MEASURING.with(|m| m.set(true));
+    f();
+    MEASURING.with(|m| m.set(false));
+    ALLOCS.load(Ordering::Relaxed) - before
 }
 
 #[test]
 fn pbq_single_send_recv_steady_state_is_allocation_free() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     for cached in [true, false] {
         let q = PureBufferQueue::new_with_mode(8, 256, cached);
         let payload = [0x5au8; 64];
@@ -56,12 +83,12 @@ fn pbq_single_send_recv_steady_state_is_allocation_free() {
             assert!(q.try_send(&payload));
             assert_eq!(q.try_recv(&mut out), Some(64));
         }
-        let before = alloc_count();
-        for _ in 0..10_000 {
-            assert!(q.try_send(&payload));
-            assert_eq!(q.try_recv(&mut out), Some(64));
-        }
-        let delta = alloc_count() - before;
+        let delta = measure(|| {
+            for _ in 0..10_000 {
+                assert!(q.try_send(&payload));
+                assert_eq!(q.try_recv(&mut out), Some(64));
+            }
+        });
         assert_eq!(
             delta, 0,
             "cached={cached}: {delta} allocations in 10k send/recv pairs"
@@ -71,7 +98,7 @@ fn pbq_single_send_recv_steady_state_is_allocation_free() {
 
 #[test]
 fn pbq_batched_send_recv_steady_state_is_allocation_free() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let q = PureBufferQueue::new(8, 256);
     let payload = [0xc3u8; 64];
     let msgs: [&[u8]; 4] = [&payload, &payload, &payload, &payload];
@@ -82,36 +109,36 @@ fn pbq_batched_send_recv_steady_state_is_allocation_free() {
             4
         );
     }
-    let before = alloc_count();
-    for _ in 0..10_000 {
-        assert_eq!(q.try_send_batch(msgs), 4);
-        assert_eq!(
-            q.try_recv_batch(4, |_, bytes| assert_eq!(bytes.len(), 64)),
-            4
-        );
-    }
-    let delta = alloc_count() - before;
+    let delta = measure(|| {
+        for _ in 0..10_000 {
+            assert_eq!(q.try_send_batch(msgs), 4);
+            assert_eq!(
+                q.try_recv_batch(4, |_, bytes| assert_eq!(bytes.len(), 64)),
+                4
+            );
+        }
+    });
     assert_eq!(delta, 0, "{delta} allocations in 10k batched rounds");
 }
 
 #[test]
 fn pbq_recv_with_in_place_path_is_allocation_free() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let q = PureBufferQueue::new(8, 256);
     let payload = [7u8; 64];
     for _ in 0..32 {
         assert!(q.try_send(&payload));
         assert_eq!(q.try_recv_with(|bytes| bytes.len()), Some(64));
     }
-    let before = alloc_count();
     let mut sum = 0u64;
-    for _ in 0..10_000 {
-        assert!(q.try_send(&payload));
-        sum += q
-            .try_recv_with(|bytes| bytes.iter().map(|&b| b as u64).sum::<u64>())
-            .unwrap();
-    }
-    let delta = alloc_count() - before;
+    let delta = measure(|| {
+        for _ in 0..10_000 {
+            assert!(q.try_send(&payload));
+            sum += q
+                .try_recv_with(|bytes| bytes.iter().map(|&b| b as u64).sum::<u64>())
+                .unwrap();
+        }
+    });
     assert_eq!(sum, 10_000 * 64 * 7);
     assert_eq!(delta, 0, "{delta} allocations in 10k in-place receives");
 }
@@ -130,13 +157,19 @@ fn pbq_recv_with_in_place_path_is_allocation_free() {
 #[test]
 fn crossnode_pooled_wire_path_is_allocation_free() {
     use netsim::{Backend, Cluster, CoalescePlan, NetConfig, WireTag};
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     const BATCH: usize = 8; // == the coalescer's count watermark
     for backend in [Backend::Sim, Backend::Tcp] {
         for coalesce in [false, true] {
             let mut net = NetConfig::default().with_backend(backend);
             if coalesce {
-                net = net.with_coalescing(CoalescePlan::default());
+                // No age watermark: a preemption of more than `flush_ns`
+                // between two sends would split a batch into two jumbos,
+                // and the pool would grow one slab to hold both.
+                net = net.with_coalescing(CoalescePlan {
+                    flush_ns: u64::MAX,
+                    ..CoalescePlan::default()
+                });
             }
             let c = Cluster::new(2, net);
             let a = c.endpoint(0);
@@ -163,31 +196,16 @@ fn crossnode_pooled_wire_path_is_allocation_free() {
             for _ in 0..64 {
                 round();
             }
-            // The counting allocator is process-global, so the window can
-            // pick up ambient allocations from the one other live thread:
-            // libtest's runner, parked in a channel `recv`, allocates
-            // waker/context state when the `yield_now` spins above hand it
-            // the core (observed: a 48 B mpmc `Context`, 96 B waker-list
-            // growth). Those wake-ups are scheduler luck, not wire-path
-            // behavior, so take the minimum delta over a few windows — a
-            // genuine per-message leak allocates in *every* window, while
-            // runner noise cannot survive them all.
-            let mut delta = u64::MAX;
-            for _ in 0..5 {
-                let before = alloc_count();
+            let delta = measure(|| {
                 for _ in 0..500 {
                     round();
                 }
-                delta = delta.min(alloc_count() - before);
-                if delta == 0 {
-                    break;
-                }
-            }
+            });
             assert_eq!(
                 delta,
                 0,
                 "{backend:?} coalesce={coalesce}: {delta} allocations in \
-                 every window of {} steady-state cross-node messages",
+                 {} steady-state cross-node messages",
                 500 * BATCH
             );
         }
@@ -200,7 +218,7 @@ fn crossnode_pooled_wire_path_is_allocation_free() {
 /// channel exists.
 #[test]
 fn runtime_send_recv_fast_path_is_allocation_free() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let mut cfg = Config::new(1);
     cfg.spin_budget = 4;
     let (_, deltas) = launch_map(cfg, |ctx| {
@@ -213,13 +231,14 @@ fn runtime_send_recv_fast_path_is_allocation_free() {
             w.send(&tx, 0, 0);
             w.recv(&mut rx, 0, 0);
         }
-        let before = alloc_count();
-        for _ in 0..5_000 {
-            w.send(&tx, 0, 0);
-            w.recv(&mut rx, 0, 0);
-        }
+        let delta = measure(|| {
+            for _ in 0..5_000 {
+                w.send(&tx, 0, 0);
+                w.recv(&mut rx, 0, 0);
+            }
+        });
         assert_eq!(rx, tx);
-        alloc_count() - before
+        delta
     });
     assert_eq!(
         deltas[0], 0,
